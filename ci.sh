@@ -125,11 +125,13 @@ echo "== micro/io benches (refreshes BENCH_micro.json / BENCH_io.json)"
 cargo bench -p bench_harness --bench micro
 cargo bench -p bench_harness --bench io_throughput
 
-echo "== parallel-commit speedup gate (sched/mult_big@4 vs @1)"
-# Wave application must pay off where there are cores to show it: with
-# >= 4 hardware threads, the @4 mean must come in under 0.7x the @1 mean
-# (>= 1.4x speedup). On smaller machines wall-clock speedup is
-# physically impossible (the workers timeshare one core), so the gate
+echo "== parallel-propose speedup gate (sched/mult_big@4 vs @1)"
+# Parallel propose with serial commit must pay off where there are cores
+# to show it: the propose workers (cut enumeration, NPN lookup, scoring)
+# run concurrently and each step's commits stay a serial in-order loop,
+# so with >= 4 hardware threads the @4 mean must come in under 0.7x the
+# @1 mean (>= 1.4x speedup). On smaller machines wall-clock speedup is
+# physically impossible (the workers timeshare the cores), so the gate
 # degrades to a no-pathological-overhead bound: @4 <= 1.25x @1.
 mean_of() {
     grep "\"$1\"" BENCH_micro.json | sed 's/.*"mean_ns": \([0-9.]*\).*/\1/'

@@ -46,13 +46,6 @@ fn write_metrics_object(out: &mut String, d: &obs::Delta) {
                     );
                 }
             }
-            obs::Kind::Histogram => {
-                let n = d.hist_count(m);
-                if n != 0 {
-                    emit(out, &format!("{}.count", def.name), n as i64);
-                    emit(out, &format!("{}.sum", def.name), d.hist_sum(m) as i64);
-                }
-            }
         }
     }
     out.push('}');

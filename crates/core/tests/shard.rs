@@ -248,7 +248,6 @@ fn event_driven_converge_proposes_less_than_full_sweeps() {
             "@{threads}: {:?}",
             stats.sched
         );
-        assert!(stats.sched.commit_waves >= 1, "@{threads}");
     }
 }
 

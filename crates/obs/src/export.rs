@@ -20,7 +20,6 @@ pub const JSONL_SCHEMA: &[(&str, &[&str])] = &[
     ("counter", &["name", "value"]),
     ("gauge", &["name", "value"]),
     ("hist", &["name", "count", "sum_ns"]),
-    ("vhist", &["name", "count", "sum"]),
     // Terminal record of a streamed job (the `migd` daemon protocol):
     // carries the job id and verdict, plus free-form payload fields
     // (result circuit, runtime, cache counters).
@@ -88,16 +87,6 @@ pub fn metrics_jsonl(d: &Delta) -> String {
                         "{{\"type\":\"hist\",\"name\":\"{}\",\"count\":{n},\"sum_ns\":{}}}\n",
                         def.name,
                         d.hist_sum_ns(m)
-                    ));
-                }
-            }
-            Kind::Histogram => {
-                let n = d.hist_count(m);
-                if n != 0 {
-                    out.push_str(&format!(
-                        "{{\"type\":\"vhist\",\"name\":\"{}\",\"count\":{n},\"sum\":{}}}\n",
-                        def.name,
-                        d.hist_sum(m)
                     ));
                 }
             }
@@ -216,7 +205,7 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlSummary, String> {
                     ts_ns: ts as u64,
                 });
             }
-            "counter" | "gauge" | "hist" | "vhist" | "result" => counters += 1,
+            "counter" | "gauge" | "hist" | "result" => counters += 1,
             _ => {}
         }
     }
@@ -242,11 +231,6 @@ pub fn derived_rates(d: &Delta, elapsed_s: f64) -> Vec<(String, f64)> {
     if proposed != 0 && elapsed_s > 0.0 {
         out.push(("regions_per_s".into(), proposed as f64 / elapsed_s));
     }
-    let waves = d.get(Metric::SchedCommitWaves);
-    let proposals = d.get(Metric::ShardCommitted) + d.get(Metric::ShardConflicted);
-    if waves != 0 {
-        out.push(("proposals_per_wave".into(), proposals as f64 / waves as f64));
-    }
     let hits = d.get(Metric::CutsCacheHits);
     let misses = d.get(Metric::CutsCacheMisses);
     if hits + misses != 0 {
@@ -269,13 +253,6 @@ pub fn derived_rates(d: &Delta, elapsed_s: f64) -> Vec<(String, f64)> {
         out.push((
             "result_cache_hit_rate".into(),
             res_hits as f64 / (res_hits + res_misses) as f64,
-        ));
-    }
-    let workers = d.get(Metric::SchedWaveWorkers);
-    if workers != 0 {
-        out.push((
-            "commits_per_wave_worker".into(),
-            d.get(Metric::ShardCommitted) as f64 / workers as f64,
         ));
     }
     out

@@ -16,16 +16,6 @@ pub enum Kind {
     /// Duration histogram: total count, summed nanoseconds, and
     /// [`BUCKETS`] log2 buckets starting at 1 µs.
     DurationNs,
-    /// Value histogram: total count, summed values, and [`BUCKETS`]
-    /// log2 buckets starting at 1 (bucket `i` counts values `< 2^i`).
-    Histogram,
-}
-
-impl Kind {
-    /// Whether the kind lays out histogram slots (count, sum, buckets).
-    pub fn is_histogram(self) -> bool {
-        matches!(self, Kind::DurationNs | Kind::Histogram)
-    }
 }
 
 /// One row of the central metric table.
@@ -89,12 +79,14 @@ metrics_table! {
         "regions skipped because nothing in them changed";
     SchedRetried => "sched.retried", Counter, true,
         "regions re-queued after a conflicted commit";
+    // No longer recorded (commits are serial, there are no waves), so it
+    // reads 0; kept because the `fhbench` harness still reads it.
     SchedCommitWaves => "sched.commit_waves", Counter, true,
-        "wave batches the planner split commits into";
+        "commit wave batches (no longer recorded; reads 0)";
     SchedRepartitions => "sched.repartitions", Counter, true,
         "partition rebuilds triggered by graph churn";
     ShardConflicted => "shard.conflicted_proposals", Counter, true,
-        "proposals dropped because an earlier wave overlapped them";
+        "proposals refused because an earlier commit of the step dirtied their footprint";
     FhRounds => "fhash.converge_rounds", Counter, true,
         "functional-hashing convergence rounds";
     AlgRounds => "alg.converge_rounds", Counter, true,
@@ -125,12 +117,10 @@ metrics_table! {
         "time spent inside SAT equivalence proofs";
     CecSimChecks => "cec.sim_checks", Counter, true,
         "random / exhaustive simulation equivalence checks";
-    SchedWaveWidth => "sched.wave_width", Histogram, true,
-        "runnable proposals per commit wave (parallelism exposed)";
-    SchedWaveWorkers => "sched.wave_workers", Counter, true,
-        "worker threads that applied commit-wave patches";
+    // No longer recorded (every commit is serial), so it reads 0; kept
+    // because the `fhbench` harness still reads it.
     SchedWaveFallbacks => "sched.wave_fallbacks", Counter, true,
-        "proposals re-run serially after their simulation escaped";
+        "commit-wave serial fallbacks (no longer recorded; reads 0)";
     SchedCompactions => "sched.compactions", Counter, true,
         "slot-renumbering compactions triggered by dead-slot density";
     MigBytesPerNode => "mig.bytes_per_node", Gauge, true,
@@ -165,7 +155,7 @@ pub const BUCKETS: usize = 16;
 const fn slots_of(kind: Kind) -> usize {
     match kind {
         Kind::Counter | Kind::Gauge => 1,
-        Kind::DurationNs | Kind::Histogram => 2 + BUCKETS,
+        Kind::DurationNs => 2 + BUCKETS,
     }
 }
 
@@ -239,7 +229,7 @@ fn record(base: usize, vals: &[u64]) {
 /// Increments a counter.
 #[inline]
 pub fn add(m: Metric, n: u64) {
-    debug_assert!(!m.def().kind.is_histogram());
+    debug_assert_ne!(m.def().kind, Kind::DurationNs);
     if n != 0 {
         record(m.slot(), &[n]);
     }
@@ -270,24 +260,6 @@ pub fn observe_ns(m: Metric, ns: u64) {
     let base = m.slot();
     record(base, &[1, ns]);
     record(base + 2 + bucket_of(ns), &[1]);
-}
-
-#[inline]
-fn value_bucket_of(v: u64) -> usize {
-    let mut b = 0;
-    while b + 1 < BUCKETS && v >= (1u64 << b) {
-        b += 1;
-    }
-    b
-}
-
-/// Records one observation into a value histogram (log2 buckets from 1).
-#[inline]
-pub fn observe(m: Metric, v: u64) {
-    debug_assert_eq!(m.def().kind, Kind::Histogram);
-    let base = m.slot();
-    record(base, &[1, v]);
-    record(base + 2 + value_bucket_of(v), &[1]);
 }
 
 /// RAII timer feeding a duration histogram on drop.
@@ -342,15 +314,8 @@ impl Delta {
 
     /// Histogram observation count.
     pub fn hist_count(&self, m: Metric) -> u64 {
-        debug_assert!(m.def().kind.is_histogram());
+        debug_assert_eq!(m.def().kind, Kind::DurationNs);
         self.slots[m.slot()]
-    }
-
-    /// Histogram summed values (nanoseconds for [`Kind::DurationNs`],
-    /// raw values for [`Kind::Histogram`]).
-    pub fn hist_sum(&self, m: Metric) -> u64 {
-        debug_assert!(m.def().kind.is_histogram());
-        self.slots[m.slot() + 1]
     }
 
     /// Histogram summed nanoseconds.
@@ -359,10 +324,9 @@ impl Delta {
         self.slots[m.slot() + 1]
     }
 
-    /// Histogram bucket counts (`BUCKETS` entries, log2 from 1 µs for
-    /// durations, log2 from 1 for value histograms).
+    /// Histogram bucket counts (`BUCKETS` entries, log2 from 1 µs).
     pub fn hist_buckets(&self, m: Metric) -> &[u64] {
-        debug_assert!(m.def().kind.is_histogram());
+        debug_assert_eq!(m.def().kind, Kind::DurationNs);
         let base = m.slot() + 2;
         &self.slots[base..base + BUCKETS]
     }
@@ -401,8 +365,8 @@ impl Delta {
 
     /// Re-records only the event-history metrics: used at snapshot
     /// rollbacks, where outcome counters must vanish with the undone
-    /// work but event counts (retries, conflicts, waves, profiling)
-    /// remain true history.
+    /// work but event counts (retries, conflicts, profiling) remain true
+    /// history.
     pub fn publish_history(&self) {
         for (i, def) in DEFS.iter().enumerate() {
             if !def.history {
@@ -491,17 +455,6 @@ pub fn render_table(d: &Delta) -> String {
                     ));
                 }
             }
-            Kind::Histogram => {
-                let n = d.hist_count(m);
-                if n != 0 {
-                    let sum = d.hist_sum(m);
-                    out.push_str(&format!(
-                        "{:width$}  n={n} sum={sum} mean={:.2}\n",
-                        def.name,
-                        sum as f64 / n as f64,
-                    ));
-                }
-            }
         }
     }
     out
@@ -542,13 +495,13 @@ mod tests {
         let (_, outer) = scoped(|| {
             let (_, d) = scoped(|| {
                 add(Metric::FhReplacements, 4);
-                add(Metric::SchedCommitWaves, 2);
+                add(Metric::SchedRetried, 2);
                 add(Metric::ShardConflicted, 1);
             });
             d.publish_history();
         });
         assert_eq!(outer.get(Metric::FhReplacements), 0);
-        assert_eq!(outer.get(Metric::SchedCommitWaves), 2);
+        assert_eq!(outer.get(Metric::SchedRetried), 2);
         assert_eq!(outer.get(Metric::ShardConflicted), 1);
     }
 
@@ -577,15 +530,17 @@ mod tests {
 
     #[test]
     fn value_histogram_buckets_accumulate() {
+        // Exact log2 bucket edges and the wrapping sum of a histogram.
+        let m = Metric::SchedRepartitionNs;
         let (_, d) = scoped(|| {
-            observe(Metric::SchedWaveWidth, 0); // bucket 0 (< 1)
-            observe(Metric::SchedWaveWidth, 1); // bucket 1 (< 2)
-            observe(Metric::SchedWaveWidth, 8); // bucket 4 (< 16)
-            observe(Metric::SchedWaveWidth, u64::MAX); // overflow bucket
+            observe_ns(m, 1_023); // bucket 0 (< 2^10)
+            observe_ns(m, 1_024); // bucket 1 (< 2^11)
+            observe_ns(m, 1 << 13); // bucket 4 (< 2^14)
+            observe_ns(m, u64::MAX); // overflow bucket
         });
-        assert_eq!(d.hist_count(Metric::SchedWaveWidth), 4);
-        assert_eq!(d.hist_sum(Metric::SchedWaveWidth), u64::MAX.wrapping_add(9));
-        let buckets = d.hist_buckets(Metric::SchedWaveWidth);
+        assert_eq!(d.hist_count(m), 4);
+        assert_eq!(d.hist_sum_ns(m), u64::MAX.wrapping_add(10_239));
+        let buckets = d.hist_buckets(m);
         assert_eq!(buckets.iter().sum::<u64>(), 4);
         assert_eq!(buckets[0], 1);
         assert_eq!(buckets[1], 1);
